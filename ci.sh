@@ -61,9 +61,10 @@
 #                        a wall-clock sanity bound; a bogus spec path, a
 #                        malformed -shard spec, and a bogus -aggregation
 #                        level must exit non-zero
-#  10. bench gate        the substrate micro-benchmarks and the flow-level
-#                        Fig-5 sweep smoke-run at one iteration each (they
-#                        must at least execute); with CI_BENCH=1 the macro
+#  10. bench gate        the substrate micro-benchmarks, the flow-level
+#                        Fig-5 sweep and the network solver's per
+#                        record-step micro-benchmark smoke-run at one
+#                        iteration each (they must at least execute); with CI_BENCH=1 the macro
 #                        + micro benchmarks run for real and refresh the
 #                        "current" sections of BENCH_PR5.json,
 #                        BENCH_PR6.json (packet vs flow fidelity on the
@@ -163,8 +164,9 @@ go run ./cmd/incastsim -scenario examples/scenarios/pulser_fanin.json -quick -ou
 test -s "$OBS_TMP/scenario/pulser_fanin.csv"
 # The headline single-run million-flow scenario: 1,048,576 flows in one
 # cohort-aggregated row. The timeout is the wall-clock sanity bound — the
-# run takes ~3 s; if it regresses past 60 s the aggregation is broken.
-timeout 60 "$OBS_TMP/incastsim" -scenario examples/scenarios/clos_million_flow_single.json \
+# run takes ~1.4 s on a 2-vCPU Xeon; if it regresses past 30 s the
+# aggregation or the drop-victim index is broken.
+timeout 30 "$OBS_TMP/incastsim" -scenario examples/scenarios/clos_million_flow_single.json \
   -quick -out "$OBS_TMP/scenario" >/dev/null
 test -s "$OBS_TMP/scenario/clos_million_flow_single.csv"
 if go run ./cmd/incastsim -scenario "$OBS_TMP/no_such_spec.json" 2>/dev/null; then
@@ -192,6 +194,8 @@ grep -q '^BenchmarkSimulatorPacketRate' "$OBS_TMP/bench_smoke.txt"
 grep -q '^BenchmarkFlowsimFig5' "$OBS_TMP/bench_smoke.txt"
 grep -q '^BenchmarkFlowsimCohortFig5Point' "$OBS_TMP/bench_smoke.txt"
 grep -q '^BenchmarkClosMillionFlowSingleRun' "$OBS_TMP/bench_smoke.txt"
+go test -run '^$' -bench '^BenchmarkNetEngineStep$' -benchtime=1x ./internal/flowsim >"$OBS_TMP/bench_flowsim.txt"
+grep -q '^BenchmarkNetEngineStep.*ns/record-step' "$OBS_TMP/bench_flowsim.txt"
 if [ "${CI_BENCH:-0}" = "1" ]; then
   echo "==> bench gate: full run refreshing BENCH_PR5.json (CI_BENCH=1)"
   go test -run '^$' \

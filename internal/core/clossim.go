@@ -149,7 +149,7 @@ func harvestClosIncastMetrics(cfg *SimConfig, eng *sim.Engine, in *workload.Clos
 	}
 	harvestPool(c, net.Pool)
 	harvestSenders(c, in.Senders())
-	harvestCohorts(c, 0, 0, 0)
+	harvestCohorts(c, 0, 0, 0, 0)
 
 	bct := c.Histogram("burst_bct_ms", bctBuckets)
 	for _, b := range in.Bursts() {

@@ -362,7 +362,7 @@ func harvestFlowRun(cfg *SimConfig, r *flowsim.Result, wallStart time.Time) {
 	// the combination); publish the zero so the key set stays dense.
 	c.Counter("tcp_incast_notifies").Add(0)
 	c.Counter("cc_cwnd_updates").Add(r.CwndUpdates)
-	harvestCohorts(c, r.Cohorts, r.CohortSplits, r.PeakCohortWeight)
+	harvestCohorts(c, r.Cohorts, r.CohortSplits, r.PeakCohortWeight, r.VictimScans)
 
 	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
 	for _, w := range r.FinalCwndPkts {

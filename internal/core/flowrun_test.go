@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"incastlab/internal/cc"
+	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/scenario"
 	"incastlab/internal/sim"
 	"incastlab/internal/tcp"
+	"incastlab/internal/workload"
 )
 
 // TestFlowDispatchMatchesPacketModes is the seeded cross-backend
@@ -107,6 +109,32 @@ func TestFlowObsKeySetParity(t *testing.T) {
 		if !pset[id] {
 			t.Errorf("flow snapshot has extra %s", id)
 		}
+	}
+}
+
+// TestFlowVictimScanCounter pins the drop-victim search harvest: a
+// flow-level Clos incast deep enough to tail-drop publishes
+// flowsim_victim_scan_records as a positive count, identical across runs
+// of the same config.
+func TestFlowVictimScanCounter(t *testing.T) {
+	scans := func() int64 {
+		clos := netsim.DefaultClosConfig(8, 501)
+		reg := obs.NewRegistry()
+		RunIncastSim(SimConfig{
+			Flows: 1400, Bursts: 4, Clos: &clos, Placement: workload.PlacementCrossRack,
+			Metrics: reg, Experiment: "victims", Fidelity: FidelityFlow,
+		})
+		var n int64
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == "flowsim_victim_scan_records" {
+				n += c.Value
+			}
+		}
+		return n
+	}
+	first, second := scans(), scans()
+	if first <= 0 || first != second {
+		t.Errorf("flowsim_victim_scan_records = %d then %d, want one positive count", first, second)
 	}
 }
 

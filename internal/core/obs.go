@@ -114,7 +114,7 @@ func harvestIncastRun(reg *obs.Registry, experiment string, flows int,
 	harvestLink(c, "uplink", net.Uplink, active)
 	harvestPool(c, net.Pool)
 	harvestSenders(c, in.Senders())
-	harvestCohorts(c, 0, 0, 0)
+	harvestCohorts(c, 0, 0, 0, 0)
 
 	bct := c.Histogram("burst_bct_ms", bctBuckets)
 	for _, b := range in.Bursts() {
@@ -244,11 +244,13 @@ func harvestSenders(c *obs.Collector, senders []*tcp.Sender) {
 
 // harvestCohorts records the flow-level backend's aggregation telemetry:
 // how many cohort records the solver integrated, how many lazy exact
-// splits divergence forced, and the heaviest single record. Packet-level
+// splits divergence forced, the heaviest single record, and how many
+// records the tail-drop victim search examined. Packet-level
 // harvests publish explicit zeros (the packet backend is per-packet by
 // construction), keeping the key set dense across fidelities.
-func harvestCohorts(c *obs.Collector, cohorts int, splits int64, peakWeight float64) {
+func harvestCohorts(c *obs.Collector, cohorts int, splits int64, peakWeight float64, victimScans int64) {
 	c.Gauge("flowsim_cohorts", obs.MergeSum).Set(float64(cohorts))
 	c.Counter("flowsim_cohort_splits").Add(splits)
 	c.Gauge("flowsim_cohort_peak_weight", obs.MergeMax).Set(peakWeight)
+	c.Counter("flowsim_victim_scan_records").Add(victimScans)
 }

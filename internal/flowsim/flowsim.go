@@ -240,6 +240,10 @@ type Result struct {
 	Cohorts          int
 	CohortSplits     int64
 	PeakCohortWeight float64
+	// VictimScans counts the records the tail-drop victim search examined
+	// over the whole run: the cost of finding whom to drop, as opposed to
+	// integrating them.
+	VictimScans int64
 
 	// QueueCapacity and ECNThreshold echo the configuration.
 	QueueCapacity, ECNThreshold int
@@ -391,6 +395,7 @@ type engine struct {
 	cohorts0      int
 	splitsMade    int64
 	peakW         float64
+	victimScans   int64
 
 	// Static rates (packets/second) and conversions.
 	drain    float64 // bottleneck effective drain
@@ -904,6 +909,7 @@ func (e *engine) dropTail(overflow float64, stepEnd, rttTime sim.Time) float64 {
 	for ri := e.relPtr - 1; ri >= 0 && remaining > volEps; ri-- {
 		rel := e.releases[ri]
 		for i := rel.flow; i >= 0 && remaining > volEps; i = e.lineNext[i] {
+			e.victimScans++
 			if e.hot[i].arr <= 0 || e.flows[i].lastRelease != rel.at {
 				continue
 			}
@@ -1416,6 +1422,7 @@ func (e *engine) finish() (*Result, error) {
 	}
 	r.Cohorts = len(e.mCnt)
 	r.CohortSplits = e.splitsMade
+	r.VictimScans = e.victimScans
 	r.PeakCohortWeight = e.peakW
 	return r, nil
 }

@@ -30,6 +30,10 @@ type netScratch struct {
 	// Per-flow-hop flat arrays.
 	bk, mk, arrH, arrMkH []float64
 
+	// Drop-victim index (see netEngine.vicOff).
+	vicOff []int32
+	vicEnt []victimRef
+
 	// Run-loop lists.
 	activeList, stalled []int32
 }
@@ -72,6 +76,7 @@ func (e *netEngine) attach(sc *netScratch, nq, m int, hops int32) {
 	e.mk = grown(sc.mk, int(hops))
 	e.arrH = grown(sc.arrH, int(hops))
 	e.arrMkH = grown(sc.arrMkH, int(hops))
+	e.vicOff, e.vicEnt = sc.vicOff, sc.vicEnt
 	e.activeList = grown(sc.activeList, 0)
 	e.stalled = grown(sc.stalled, 0)
 }
@@ -96,6 +101,7 @@ func (e *netEngine) release() {
 	clear(e.paths)
 	sc.paths = e.paths
 	sc.bk, sc.mk, sc.arrH, sc.arrMkH = e.bk, e.mk, e.arrH, e.arrMkH
+	sc.vicOff, sc.vicEnt = e.vicOff, e.vicEnt
 	sc.activeList, sc.stalled = e.activeList, e.stalled
 	netScratchPool.Put(sc)
 }

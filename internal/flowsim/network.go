@@ -1,8 +1,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -221,6 +223,19 @@ type netEngine struct {
 	arrH    []float64 // per-step arrivals into the hop
 	arrMkH  []float64 // marked share of those arrivals
 	baseSec []float64
+	// minBaseSec is the smallest per-record base RTT. Splits copy their
+	// parent's baseSec, so it is fixed once the plan's records exist.
+	minBaseSec float64
+
+	// Drop-victim index, CSR over queues: vicEnt[vicOff[j]:vicOff[j+1]]
+	// lists, in release order, every release whose original record's path
+	// crosses queue j, with j's hop position on that path. Split
+	// descendants copy their parent's path, so one hop serves the whole
+	// lineage a release covers. victimScans counts the lineage records
+	// dropTailQueue examines.
+	vicOff      []int32
+	vicEnt      []victimRef
+	victimScans int64
 
 	nicRate  float64 // per-sender injection cap, packets/second
 	bneck    int
@@ -248,6 +263,9 @@ type netEngine struct {
 
 	timeRounds bool
 	steps      uint64
+	// recordSteps sums the active records over steps: the unit the
+	// solver's per-step cost scales with (BenchmarkNetEngineStep).
+	recordSteps uint64
 
 	smp sampler
 
@@ -303,6 +321,7 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 		hops += int32(len(e.paths[i]))
 		e.baseSec[i] = float64(net.BaseRTT[rep]) / 1e9
 	}
+	e.minBaseSec = slices.Min(e.baseSec)
 	for i := range e.flows {
 		e.flows[i].ctrl = newController(cfg.CC)
 		e.flows[i].lastLoss = math.MinInt64 / 2
@@ -313,6 +332,7 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 		}
 	}
 	e.releases = buildReleases(cfg.Config, m)
+	e.indexVictims()
 
 	first := 1
 	if cfg.Bursts == 1 {
@@ -320,6 +340,40 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 	}
 	e.smp = newSampler(cfg.Config, first)
 	return e
+}
+
+// victimRef is one drop-victim index entry: a release and the hop at
+// which its lineage's path crosses the indexed queue.
+type victimRef struct {
+	rel, hop int32
+}
+
+// indexVictims builds the per-queue drop-victim index from the releases,
+// reusing the engine's index buffers. Walking releases in order leaves
+// every queue's entries sorted by release index.
+func (e *netEngine) indexVictims() {
+	nq := len(e.q)
+	off := grown(e.vicOff, nq+1)
+	for _, r := range e.releases {
+		for _, j := range e.paths[r.flow] {
+			off[j+1]++
+		}
+	}
+	for j := 0; j < nq; j++ {
+		off[j+1] += off[j]
+	}
+	// off[j] is now queue j's start; use it as j's fill cursor, then shift
+	// the advanced cursors (each its queue's end) back into starts.
+	ent := grown(e.vicEnt, int(off[nq]))
+	for ri, r := range e.releases {
+		for h, j := range e.paths[r.flow] {
+			ent[off[j]] = victimRef{rel: int32(ri), hop: int32(h)}
+			off[j]++
+		}
+	}
+	copy(off[1:], off[:nq])
+	off[0] = 0
+	e.vicOff, e.vicEnt = off, ent
 }
 
 func (e *netEngine) activate(i int32) {
@@ -404,7 +458,7 @@ func (e *netEngine) run() error {
 		// the single-queue engine sizes from its one queue: transit hops
 		// are orders of magnitude faster and contribute delay only under
 		// ECMP collisions, which the per-flow RTTs (pass A) still see.
-		rttSec := e.minBase() + e.q[e.bneck]/e.drain[e.bneck]
+		rttSec := e.minBaseSec + e.q[e.bneck]/e.drain[e.bneck]
 		div := float64(stepDiv)
 		if e.q[e.bneck] > stepDeepK*e.kQ[e.bneck] {
 			div = stepDivDeep
@@ -427,22 +481,13 @@ func (e *netEngine) run() error {
 		cfg.Flows, deadline, e.cumDelivered, totalDemand)
 }
 
-func (e *netEngine) minBase() float64 {
-	min := e.baseSec[0]
-	for _, b := range e.baseSec[1:] {
-		if b < min {
-			min = b
-		}
-	}
-	return min
-}
-
 // step advances the fluid state by dt: per-queue service from the
 // start-of-step backlogs, per-flow injection offers, then a walk over the
 // queues in topological stage order — marking, tail-dropping, admitting,
 // and forwarding — and finally the per-flow round bookkeeping.
 func (e *netEngine) step(dt sim.Time) error {
 	e.steps++
+	e.recordSteps += uint64(len(e.activeList))
 	stepEnd := e.now + dt
 	dtSec := float64(dt) / 1e9
 
@@ -726,16 +771,23 @@ func (e *netEngine) stepFlowStage(i int32, s int) {
 // along the path it was dropped. A cohort whose whole weighted offer is
 // consumed reacts in place; the cohort the overflow runs out inside splits
 // exactly (netSplitDrop), so each call splits at most one cohort.
+//
+// Victims come from queue j's release index (indexVictims): the entries
+// below relPtr, walked backwards, are exactly the processed releases whose
+// lineages cross j, newest first, so releases routed around j cost
+// nothing.
 func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
+	vic := e.vicEnt[e.vicOff[j]:e.vicOff[j+1]]
+	k, _ := slices.BinarySearchFunc(vic, int32(e.relPtr), func(v victimRef, rel int32) int {
+		return cmp.Compare(v.rel, rel)
+	})
 	remaining := overflow
-	for ri := e.relPtr - 1; ri >= 0 && remaining > volEps; ri-- {
-		rel := e.releases[ri]
+	for k--; k >= 0 && remaining > volEps; k-- {
+		rel := e.releases[vic[k].rel]
+		h := int(vic[k].hop)
 		for i := rel.flow; i >= 0 && remaining > volEps; i = e.lineNext[i] {
+			e.victimScans++
 			if e.flows[i].lastRelease != rel.at {
-				continue
-			}
-			h := e.hopOf(i, j)
-			if h < 0 {
 				continue
 			}
 			oh := e.off[i] + int32(h)
@@ -903,16 +955,6 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	e.flows[ci].active = true
 	e.activeList = append(e.activeList, ci)
 	return ci
-}
-
-// hopOf returns the hop index of queue j in record i's path, or -1.
-func (e *netEngine) hopOf(i, j int32) int {
-	for h, qj := range e.paths[i] {
-		if qj == j {
-			return h
-		}
-	}
-	return -1
 }
 
 // lossInflight estimates the drop victim's in-network volume after this
@@ -1121,5 +1163,6 @@ func (e *netEngine) finish() (*Result, error) {
 	r.Cohorts = len(e.mCnt)
 	r.CohortSplits = e.splitsMade
 	r.PeakCohortWeight = e.peakW
+	r.VictimScans = e.victimScans
 	return r, nil
 }
