@@ -316,7 +316,7 @@ func BenchmarkFlowsimCohortFig5Point(b *testing.B) {
 // aggregators, each fanning in 65,536 cross-rack workers — through the
 // Clos fabric's coupled queues in ONE cohort-aggregated run, the
 // configuration examples/scenarios/clos_million_flow_single.json ships.
-// Per-flow records cannot represent this run at all (the release-packing
+// Per-flow records cannot represent this run at all (the per-flow release
 // limit bounds them below 2^20 flows), so there is no baseline twin: the
 // benchmark pins that the headline scale stays runnable and how much wall
 // clock it costs.

@@ -90,7 +90,7 @@ func (c SimConfig) FlowCompatible() error {
 		return err
 	}
 	if cfg.Clos != nil {
-		if _, _, err := workload.ClosFlowEndpoints(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement); err != nil {
+		if err := workload.CheckClosFlows(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement); err != nil {
 			return err
 		}
 	}

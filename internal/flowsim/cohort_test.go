@@ -226,8 +226,8 @@ func millionFlowNet(t testing.TB, clos netsim.ClosConfig, aggs, perAgg int) (*ne
 
 // TestCohortMillionFlowSmoke is the headline scale check: a million-flow
 // multi-aggregator Clos incast integrates in ONE run — impossible
-// per-flow, where the release schedule alone would blow the release-key
-// packing limit — and conserves volume (Check is on).
+// per-flow, where the release schedule alone would blow the per-flow
+// release limit — and conserves volume (Check is on).
 func TestCohortMillionFlowSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-flow smoke is not a -short test")
@@ -267,7 +267,7 @@ func TestCohortMillionFlowSmoke(t *testing.T) {
 }
 
 // TestPerFlowReleasePackingLimit pins that per-flow integration still
-// refuses flow counts past the release-key packing limit — the cohort
+// refuses flow counts past the per-flow release limit — the cohort
 // path is the supported way to exceed it.
 func TestPerFlowReleasePackingLimit(t *testing.T) {
 	defer func() {

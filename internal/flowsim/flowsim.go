@@ -23,8 +23,8 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -527,6 +527,15 @@ func newEngine(cfg Config, plan cohortPlan) *engine {
 	return e
 }
 
+// maxReleaseUnits bounds a release schedule's units: per-flow runs stay
+// below 2^20 flows (the scenario notes and EXPERIMENTS.md cite this
+// bound); cohort aggregation is the supported way past it.
+const maxReleaseUnits = 1 << 20
+
+// releaseDigitBits is the radix sort's digit width: 2^11 counters fit in
+// L1, and a 100 us jitter ceiling (17 bits) sorts in two passes.
+const releaseDigitBits = 11
+
 // buildReleases expands the burst schedule into every unit's per-burst
 // start, globally time-sorted — a unit is one release record: a flow in
 // per-flow runs, a cohort (one jitter draw standing for all its members)
@@ -534,28 +543,48 @@ func newEngine(cfg Config, plan cohortPlan) *engine {
 // the pre-cohort engine did. Each burst is sorted by (at, unit) ascending
 // so dropTail's newest-first walk over this slice visits equal-time
 // releases in descending unit order, matching the documented tail-drop
-// victim order. Sorting packed at<<unitBits|unit keys through slices.Sort
-// beats a comparator-closure sort ~3x; release times stay far below the
-// 2^(63-unitBits) ns (~2.4 h of simulated time) packing headroom. Shared
+// victim order. Within a burst every start shares the burst offset, so
+// the sort is a stable LSD radix sort of unit indices by jitter draw:
+// ceil(bits(JitterMax)/11) linear passes, ties left in unit order. Shared
 // between the single-queue and network engines so both draw the identical
 // jitter sequence from one seed.
 func buildReleases(cfg Config, nUnits int) []release {
-	const unitBits = 20
-	if nUnits >= 1<<unitBits {
-		panic(fmt.Sprintf("flowsim: %d release units exceeds the release-key packing limit %d (aggregate into cohorts to go bigger)", nUnits, 1<<unitBits))
+	if nUnits >= maxReleaseUnits {
+		panic(fmt.Sprintf("flowsim: %d release units exceeds the per-flow release limit %d (aggregate into cohorts to go bigger)", nUnits, maxReleaseUnits))
 	}
+	const mask = 1<<releaseDigitBits - 1
+	passes := (bits.Len64(uint64(cfg.JitterMax)) + releaseDigitBits - 1) / releaseDigitBits
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	releases := make([]release, 0, nUnits*cfg.Bursts)
-	keys := make([]uint64, nUnits)
+	jit := make([]sim.Time, nUnits)
+	order, tmp := make([]int32, nUnits), make([]int32, nUnits)
+	var count [1 << releaseDigitBits]int32
 	for b := 0; b < cfg.Bursts; b++ {
 		start := sim.Time(b) * cfg.Interval
-		for i := 0; i < nUnits; i++ {
-			j := sim.Time(rng.Int63n(int64(cfg.JitterMax) + 1))
-			keys[i] = uint64(start+j)<<unitBits | uint64(i)
+		for i := range jit {
+			jit[i] = sim.Time(rng.Int63n(int64(cfg.JitterMax) + 1))
+			order[i] = int32(i)
 		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			releases = append(releases, release{at: sim.Time(k >> unitBits), flow: int32(k & (1<<unitBits - 1))})
+		for p := 0; p < passes; p++ {
+			shift := uint(p * releaseDigitBits)
+			clear(count[:])
+			for _, j := range jit {
+				count[j>>shift&mask]++
+			}
+			var at int32
+			for d, c := range count {
+				count[d] = at
+				at += c
+			}
+			for _, u := range order {
+				d := jit[u] >> shift & mask
+				tmp[count[d]] = u
+				count[d]++
+			}
+			order, tmp = tmp, order
+		}
+		for _, u := range order {
+			releases = append(releases, release{at: start + jit[u], flow: u})
 		}
 	}
 	return releases

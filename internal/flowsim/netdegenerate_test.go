@@ -19,6 +19,7 @@ func TestNetworkZeroFlows(t *testing.T) {
 		}},
 		Paths:   nil,
 		BaseRTT: nil,
+		Class:   nil,
 		Stage:   []int{0},
 	}
 	_, err := RunNetwork(NetworkConfig{
@@ -48,8 +49,8 @@ func TestNetworkDegreeOneIncast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FluidPaths: %v", err)
 	}
-	if len(net.Paths) != 1 || len(net.Paths[0]) != 3 {
-		t.Fatalf("degree-1 cross-rack path = %v, want one three-hop path", net.Paths)
+	if len(net.Class) != 1 || len(net.Paths) != 1 || len(net.Paths[0]) != 3 {
+		t.Fatalf("degree-1 cross-rack paths %v (classes %v), want one flow on one three-hop path", net.Paths, net.Class)
 	}
 	segs := workload.BytesPerFlowFor(cc.HostLinkBps, 15*sim.Millisecond, 1) / netsim.MSS
 	res, err := RunNetwork(NetworkConfig{
@@ -91,8 +92,9 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 			{Name: "uplink", RateBps: 10 * netsim.Gbps, CapacityPackets: 1000, ECNThresholdPackets: 65},
 			{Name: "downlink", RateBps: netsim.Gbps, CapacityPackets: 12, ECNThresholdPackets: 5},
 		},
-		Paths:      [][]int32{{0, 1}, {0, 1}, {0, 1}, {0, 1}},
-		BaseRTT:    []sim.Time{20 * sim.Microsecond, 20 * sim.Microsecond, 20 * sim.Microsecond, 20 * sim.Microsecond},
+		Paths:      [][]int32{{0, 1}},
+		BaseRTT:    []sim.Time{20 * sim.Microsecond},
+		Class:      []int32{0, 0, 0, 0},
 		Stage:      []int{0, 1},
 		Bottleneck: 1,
 	}

@@ -35,7 +35,9 @@ type netScratch struct {
 	vicEnt []victimRef
 
 	// Run-loop lists.
-	activeList, stalled []int32
+	activeList []int32
+	wakes      wakeQueue
+	due        []wakeEntry
 }
 
 var netScratchPool = sync.Pool{New: func() any { return new(netScratch) }}
@@ -78,7 +80,8 @@ func (e *netEngine) attach(sc *netScratch, nq, m int, hops int32) {
 	e.arrMkH = grown(sc.arrMkH, int(hops))
 	e.vicOff, e.vicEnt = sc.vicOff, sc.vicEnt
 	e.activeList = grown(sc.activeList, 0)
-	e.stalled = grown(sc.stalled, 0)
+	e.wakes = grown(sc.wakes, 0)
+	e.due = grown(sc.due, 0)
 }
 
 // release hands the (possibly split-grown) backing arrays back to the
@@ -102,6 +105,6 @@ func (e *netEngine) release() {
 	sc.paths = e.paths
 	sc.bk, sc.mk, sc.arrH, sc.arrMkH = e.bk, e.mk, e.arrH, e.arrMkH
 	sc.vicOff, sc.vicEnt = e.vicOff, e.vicEnt
-	sc.activeList, sc.stalled = e.activeList, e.stalled
+	sc.activeList, sc.wakes, sc.due = e.activeList, e.wakes, e.due
 	netScratchPool.Put(sc)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -93,8 +94,8 @@ func (cfg *NetworkConfig) prepare() error {
 	if err := cfg.Net.Validate(); err != nil {
 		return err
 	}
-	if cfg.Flows != len(cfg.Net.Paths) {
-		return fmt.Errorf("flowsim: %d flows but %d network paths", cfg.Flows, len(cfg.Net.Paths))
+	if cfg.Flows != len(cfg.Net.Class) {
+		return fmt.Errorf("flowsim: %d flows but %d network path assignments", cfg.Flows, len(cfg.Net.Class))
 	}
 	b := cfg.Net.Queues[cfg.Net.Bottleneck]
 	cfg.QueueCapacityPackets = b.CapacityPackets
@@ -113,14 +114,14 @@ func (cfg *NetworkConfig) prepare() error {
 
 // trivial reports whether the network is the one-queue dumbbell instance
 // the single-queue engine already solves: a single queue at the host line
-// rate that every flow traverses alone, with one shared base RTT.
+// rate that every path class traverses alone, with one shared base RTT.
 func (cfg *NetworkConfig) trivial() bool {
 	n := cfg.Net
 	if len(n.Queues) != 1 || n.Queues[0].RateBps != cfg.LineRateBps {
 		return false
 	}
-	for i, p := range n.Paths {
-		if len(p) != 1 || p[0] != 0 || n.BaseRTT[i] != cfg.BaseRTT {
+	for c, p := range n.Paths {
+		if len(p) != 1 || p[0] != 0 || n.BaseRTT[c] != cfg.BaseRTT {
 			return false
 		}
 	}
@@ -141,13 +142,10 @@ func SingleQueue(cfg Config) (NetworkConfig, error) {
 			CapacityPackets:     cfg.QueueCapacityPackets,
 			ECNThresholdPackets: cfg.ECNThresholdPackets,
 		}},
-		Paths:   make([][]int32, cfg.Flows),
-		BaseRTT: make([]sim.Time, cfg.Flows),
+		Paths:   [][]int32{{0}},
+		BaseRTT: []sim.Time{cfg.BaseRTT},
+		Class:   make([]int32, cfg.Flows),
 		Stage:   []int{0},
-	}
-	for i := range net.Paths {
-		net.Paths[i] = []int32{0}
-		net.BaseRTT[i] = cfg.BaseRTT
 	}
 	return NetworkConfig{Config: cfg, Net: net}, nil
 }
@@ -247,8 +245,12 @@ type netEngine struct {
 	releases []release
 	relPtr   int
 
-	stalled  []int32
-	nextWake sim.Time
+	// wakes holds the records parked on an RTO, in deadline then stall
+	// order (wakeq.go); wakeSeq numbers the stalls and due is wakeDue's
+	// scratch.
+	wakes   wakeQueue
+	wakeSeq uint64
+	due     []wakeEntry
 
 	activeList []int32
 
@@ -290,12 +292,14 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 		bneck:      net.Bottleneck,
 		segs:       float64(cfg.SegmentsPerFlow),
 		crumbEps:   float64(n)*volEps*4 + 1e-9,
-		nextWake:   math.MaxInt64,
 		timeRounds: cfg.CC.Kind == KindSwift,
 	}
+	// Every member of a record shares the representative's path class:
+	// that's the cohort key.
+	classOf := func(i int) int32 { return net.Class[plan.perm[plan.off[i]]] }
 	var totalHops int32
 	for i := 0; i < m; i++ {
-		totalHops += int32(len(net.Paths[plan.perm[plan.off[i]]]))
+		totalHops += int32(len(net.Paths[classOf(i)]))
 	}
 	e.attach(netScratchPool.Get().(*netScratch), nq, m, totalHops)
 	for j, qs := range net.Queues {
@@ -308,18 +312,14 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 	for j, s := range net.Stage {
 		e.byStage[s] = append(e.byStage[s], int32(j))
 	}
-	for _, p := range net.Paths {
-		e.transit[p[len(p)-1]] = false
-	}
 	var hops int32
 	for i := 0; i < m; i++ {
-		// Every member of a record shares the representative's path and
-		// base RTT: that's the class key.
-		rep := plan.perm[plan.off[i]]
-		e.paths[i] = net.Paths[rep]
+		c := classOf(i)
+		e.paths[i] = net.Paths[c]
+		e.transit[e.paths[i][len(e.paths[i])-1]] = false
 		e.off[i] = hops
 		hops += int32(len(e.paths[i]))
-		e.baseSec[i] = float64(net.BaseRTT[rep]) / 1e9
+		e.baseSec[i] = float64(net.BaseRTT[c]) / 1e9
 	}
 	e.minBaseSec = slices.Min(e.baseSec)
 	for i := range e.flows {
@@ -422,11 +422,11 @@ func (e *netEngine) run() error {
 			e.baseDelivered = e.cumDelivered
 		}
 		if e.relPtr == len(e.releases) && e.cumDelivered >= totalDemand-e.crumbEps-1e-6 &&
-			e.queued() <= e.crumbEps && len(e.activeList) == 0 && len(e.stalled) == 0 {
+			e.queued() <= e.crumbEps && len(e.activeList) == 0 && len(e.wakes) == 0 {
 			return nil
 		}
 
-		if len(e.stalled) > 0 && e.nextWake <= e.now {
+		if e.nextWake() <= e.now {
 			e.wakeDue()
 			continue
 		}
@@ -435,8 +435,8 @@ func (e *netEngine) run() error {
 		if e.relPtr < len(e.releases) && e.releases[e.relPtr].at < next {
 			next = e.releases[e.relPtr].at
 		}
-		if len(e.stalled) > 0 && e.nextWake < next {
-			next = e.nextWake
+		if w := e.nextWake(); w < next {
+			next = w
 		}
 		if !e.baseTaken && measuredStart > e.now && measuredStart < next {
 			next = measuredStart
@@ -477,8 +477,52 @@ func (e *netEngine) run() error {
 			return err
 		}
 	}
-	return fmt.Errorf("flowsim: %d-flow network run did not complete by %v (delivered %.0f of %.0f packets)",
-		cfg.Flows, deadline, e.cumDelivered, totalDemand)
+	return fmt.Errorf("flowsim: %d-flow network run did not complete by %v (delivered %.0f of %.0f packets; %s)",
+		cfg.Flows, deadline, e.cumDelivered, totalDemand, e.stranded())
+}
+
+// stranded names the state holding a non-completing run's missing volume:
+// the records parked on the wake queue, the records that hold unsent
+// volume yet are neither active nor queued to wake (nothing will ever
+// send it), and the queues still backlogged.
+func (e *netEngine) stranded() string {
+	var b strings.Builder
+	onWake := make([]bool, len(e.flows))
+	parked, maxBackoff := 0, 0
+	for _, w := range e.wakes {
+		if !onWake[w.rec] {
+			onWake[w.rec] = true
+			parked++
+			maxBackoff = max(maxBackoff, e.flows[w.rec].backoff)
+		}
+	}
+	if parked > 0 {
+		fmt.Fprintf(&b, "%d records on the RTO wake queue, highest backoff %d, earliest wake %v",
+			parked, maxBackoff, e.nextWake())
+	} else {
+		b.WriteString("no record on the RTO wake queue")
+	}
+	var orphans int
+	var orphanVol float64
+	for i := range e.flows {
+		if u := e.hot[i].unsent; u > volEps && !onWake[i] && !e.flows[i].active {
+			orphans++
+			orphanVol += u * float64(e.mCnt[i])
+		}
+	}
+	fmt.Fprintf(&b, "; %d records hold %.1f unsent packets but are neither active nor queued to wake", orphans, orphanVol)
+	var backlogged []string
+	for j, v := range e.q {
+		if v > e.crumbEps {
+			backlogged = append(backlogged, fmt.Sprintf("%s %.1f", e.net.Queues[j].Name, v))
+		}
+	}
+	if len(backlogged) == 0 {
+		b.WriteString("; no queue backlogged")
+	} else {
+		fmt.Fprintf(&b, "; %d queues backlogged: %s", len(backlogged), strings.Join(backlogged, ", "))
+	}
+	return b.String()
 }
 
 // step advances the fluid state by dt: per-queue service from the
@@ -858,14 +902,10 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 			}
 		}
 		f.backoff++
-		e.hot[i].stallT = stepEnd + rto
+		e.park(i, stepEnd+rto)
 		f.roundEnd = 0
 		e.hot[i].roundDel, e.hot[i].roundMark = 0, 0
 		e.hot[i].reduced = false
-		e.stalled = append(e.stalled, i)
-		if e.hot[i].stallT < e.nextWake {
-			e.nextWake = e.hot[i].stallT
-		}
 	} else if rttTime := sim.Time(e.hot[i].rttSec * 1e9); stepEnd-f.lastLoss >= rttTime {
 		e.fastRetx += w
 		f.ctrl.onLoss()
@@ -1009,26 +1049,6 @@ func (e *netEngine) writeOff(i int32) {
 	e.hot[i].ackPipe = 0
 	e.hot[i].roundDel, e.hot[i].roundMark = 0, 0
 	e.hot[i].reduced = false
-}
-
-// wakeDue reactivates stalled flows whose RTO expired.
-func (e *netEngine) wakeDue() {
-	keep := e.stalled[:0]
-	e.nextWake = math.MaxInt64
-	for _, i := range e.stalled {
-		if e.hot[i].stallT <= e.now {
-			e.hot[i].stallT = 0
-			if e.hot[i].unsent > volEps || e.residual(i) > volEps {
-				e.activate(i)
-			}
-		} else {
-			keep = append(keep, i)
-			if e.hot[i].stallT < e.nextWake {
-				e.nextWake = e.hot[i].stallT
-			}
-		}
-	}
-	e.stalled = keep
 }
 
 // recordCompletions mirrors the single-queue detector on the network's

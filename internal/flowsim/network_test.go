@@ -197,6 +197,7 @@ func TestNetworkValidation(t *testing.T) {
 		Queues:  []netsim.FluidQueue{{Name: "x", RateBps: 0, CapacityPackets: 1, ECNThresholdPackets: 1}},
 		Paths:   [][]int32{{0}},
 		BaseRTT: []sim.Time{sim.Millisecond},
+		Class:   []int32{0},
 		Stage:   []int{0},
 	}
 	if _, err := RunNetwork(NetworkConfig{Config: quickConfig(1, CCConfig{}), Net: bad}); err == nil {
@@ -225,13 +226,11 @@ func dropFixture(t *testing.T) *netEngine {
 	ad, bd, b := []int32{0, 2}, []int32{1, 2}, []int32{1}
 	net := &netsim.FluidPaths{
 		Queues:     []netsim.FluidQueue{q("uplinkA"), q("uplinkB"), q("downlink")},
-		Paths:      [][]int32{ad, ad, ad, ad, b, bd, bd, bd},
-		BaseRTT:    make([]sim.Time, 8),
+		Paths:      [][]int32{ad, b, bd},
+		BaseRTT:    []sim.Time{10 * sim.Microsecond, 10 * sim.Microsecond, 10 * sim.Microsecond},
+		Class:      []int32{0, 0, 0, 0, 1, 2, 2, 2},
 		Stage:      []int{0, 0, 1},
 		Bottleneck: 2,
-	}
-	for i := range net.BaseRTT {
-		net.BaseRTT[i] = 10 * sim.Microsecond
 	}
 	ncfg := NetworkConfig{Config: quickConfig(8, CCConfig{}), Net: net}
 	if err := ncfg.prepare(); err != nil {

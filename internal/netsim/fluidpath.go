@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"incastlab/internal/sim"
@@ -30,18 +31,23 @@ type FluidQueue struct {
 	ECNThresholdPackets int
 }
 
-// FluidPaths is a queue network plus each flow's ordered traversal of it.
-// Paths[i] lists queue indices from the source outward; Stage assigns
-// every queue a topological level such that stages strictly increase
-// along every path (the fluid step integrates queues in stage order, so
-// volume forwarded out of one hop is visible to the next within the same
-// step). BaseRTT[i] is flow i's uncongested round-trip; Bottleneck is the
-// queue the run's headline statistics sample (the aggregator's leaf
-// downlink port in an incast).
+// FluidPaths is a queue network plus each flow's ordered traversal of it,
+// stored per path class: flows that cross the identical queue list with
+// the identical base RTT share one class, so a million-flow incast over a
+// few hundred distinct routes costs a few hundred paths plus one class ID
+// per flow. Paths[c] lists class c's queue indices from the source
+// outward and BaseRTT[c] is its uncongested round-trip; Class[i] is flow
+// i's class. Stage assigns every queue a topological level such that
+// stages strictly increase along every path (the fluid step integrates
+// queues in stage order, so volume forwarded out of one hop is visible to
+// the next within the same step). Bottleneck is the queue the run's
+// headline statistics sample (the aggregator's leaf downlink port in an
+// incast).
 type FluidPaths struct {
 	Queues     []FluidQueue
 	Paths      [][]int32
 	BaseRTT    []sim.Time
+	Class      []int32
 	Stage      []int
 	Bottleneck int
 }
@@ -52,7 +58,7 @@ func (p *FluidPaths) Validate() error {
 		return fmt.Errorf("netsim: fluid path set has no queues")
 	}
 	if len(p.Paths) != len(p.BaseRTT) {
-		return fmt.Errorf("netsim: fluid path set has %d paths but %d base RTTs", len(p.Paths), len(p.BaseRTT))
+		return fmt.Errorf("netsim: fluid path set has %d path classes but %d base RTTs", len(p.Paths), len(p.BaseRTT))
 	}
 	if len(p.Stage) != len(p.Queues) {
 		return fmt.Errorf("netsim: fluid path set has %d queues but %d stages", len(p.Queues), len(p.Stage))
@@ -65,23 +71,28 @@ func (p *FluidPaths) Validate() error {
 			return fmt.Errorf("netsim: fluid queue %d (%s) needs positive rate, capacity, and ECN threshold", j, q.Name)
 		}
 	}
-	for i, path := range p.Paths {
+	for c, path := range p.Paths {
 		if len(path) == 0 {
-			return fmt.Errorf("netsim: fluid flow %d has an empty path", i)
+			return fmt.Errorf("netsim: fluid path class %d has an empty path", c)
 		}
-		if p.BaseRTT[i] <= 0 {
-			return fmt.Errorf("netsim: fluid flow %d has non-positive base RTT", i)
+		if p.BaseRTT[c] <= 0 {
+			return fmt.Errorf("netsim: fluid path class %d has non-positive base RTT", c)
 		}
 		prev := -1
 		for _, j := range path {
 			if j < 0 || int(j) >= len(p.Queues) {
-				return fmt.Errorf("netsim: fluid flow %d references queue %d outside the %d queues", i, j, len(p.Queues))
+				return fmt.Errorf("netsim: fluid path class %d references queue %d outside the %d queues", c, j, len(p.Queues))
 			}
 			if s := p.Stage[j]; s <= prev {
-				return fmt.Errorf("netsim: fluid flow %d path is not stage-monotonic at queue %d (%s)", i, j, p.Queues[j].Name)
+				return fmt.Errorf("netsim: fluid path class %d is not stage-monotonic at queue %d (%s)", c, j, p.Queues[j].Name)
 			} else {
 				prev = s
 			}
+		}
+	}
+	for i, c := range p.Class {
+		if c < 0 || int(c) >= len(p.Paths) {
+			return fmt.Errorf("netsim: fluid flow %d names path class %d outside the %d classes", i, c, len(p.Paths))
 		}
 	}
 	return nil
@@ -96,46 +107,47 @@ func (p *FluidPaths) Validate() error {
 // the partition flowsim's cohort aggregation keys on: within a class the
 // workload layer already guarantees one CC law, one demand, and one
 // release schedule, so the path is the only behavioral discriminant left.
+//
+// Each stored class is canonicalized once (hand-built path sets may store
+// one route under several class IDs); flows then cost one array lookup.
+// When the stored IDs already are the canonical ones, as ClosConfig's
+// builder guarantees, the returned slice is p.Class itself and must not
+// be modified.
 func (p *FluidPaths) PathClasses() ([]int32, int) {
-	type key struct {
-		hops [4]int32
-		n    int32
-		rtt  sim.Time
+	byRoute := make(map[string]int32)
+	var buf []byte
+	canonical := func(c, next int32) int32 {
+		buf = buf[:0]
+		for _, j := range p.Paths[c] {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(j))
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.BaseRTT[c]))
+		if id, ok := byRoute[string(buf)]; ok {
+			return id
+		}
+		byRoute[string(buf)] = next
+		return next
 	}
-	classOf := make([]int32, len(p.Paths))
-	byKey := make(map[key]int32)
-	var byLong map[string]int32 // fallback for paths deeper than 4 hops
+	canon := newPortIndex(len(p.Paths))
 	next := int32(0)
-	for i, path := range p.Paths {
-		if len(path) <= 4 {
-			k := key{n: int32(len(path)), rtt: p.BaseRTT[i]}
-			copy(k.hops[:], path)
-			id, ok := byKey[k]
-			if !ok {
-				id = next
-				next++
-				byKey[k] = id
-			}
-			classOf[i] = id
+	identity := true
+	for _, c := range p.Class {
+		if canon[c] >= 0 {
 			continue
 		}
-		if byLong == nil {
-			byLong = make(map[string]int32)
-		}
-		buf := make([]byte, 0, len(path)*4+8)
-		for _, j := range path {
-			buf = append(buf, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
-		}
-		r := p.BaseRTT[i]
-		buf = append(buf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24),
-			byte(r>>32), byte(r>>40), byte(r>>48), byte(r>>56))
-		id, ok := byLong[string(buf)]
-		if !ok {
-			id = next
+		id := canonical(c, next)
+		if id == next {
 			next++
-			byLong[string(buf)] = id
 		}
-		classOf[i] = id
+		canon[c] = id
+		identity = identity && id == c
+	}
+	if identity {
+		return p.Class, int(next)
+	}
+	classOf := make([]int32, len(p.Class))
+	for i, c := range p.Class {
+		classOf[i] = canon[c]
 	}
 	return classOf, int(next)
 }
@@ -177,6 +189,14 @@ func (p *FluidPaths) Stages() int {
 // paths carry negligible volume and are folded into BaseRTT. Stages are
 // uplink=0, spine downlink=1, leaf downlink=2, so every path is
 // stage-monotonic. The bottleneck is dsts[0]'s leaf port.
+//
+// A flow's route is fixed by its destination host (which names the leaf
+// downlink) and, off-rack, by its source rack and spine pick, so classes
+// are keyed on (destination, source rack x spine) with one extra slot for
+// same-rack flows, and numbered in first-appearance order — the IDs
+// PathClasses would assign. A new queue is always first used by a new
+// class, so creating queues per new class keeps them in flow-order first
+// use.
 func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -185,20 +205,9 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 		return nil, fmt.Errorf("netsim: fluid paths need matching src/dst lists (got %d/%d)", len(srcs), len(dsts))
 	}
 	p := &FluidPaths{
-		Paths:      make([][]int32, len(srcs)),
-		BaseRTT:    make([]sim.Time, len(srcs)),
+		Class:      make([]int32, len(srcs)),
 		Bottleneck: -1,
 	}
-	// Port indices resolved positionally — downlink per destination host,
-	// uplink per (source rack, spine), spine downlink per (spine,
-	// destination rack) — so the per-flow hot loop never formats a key or
-	// hashes a string. Queues still materialize in first-use order, which
-	// keeps indices (and therefore results) identical to the map-keyed
-	// builder this replaces.
-	hosts := c.Hosts()
-	downIdx := newPortIndex(hosts)
-	upIdx := newPortIndex(c.Racks * c.Spines)
-	sdIdx := newPortIndex(c.Spines * c.Racks)
 	addQueue := func(name string, rateBps int64, stage int) int32 {
 		j := int32(len(p.Queues))
 		p.Queues = append(p.Queues, FluidQueue{
@@ -210,11 +219,16 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 		p.Stage = append(p.Stage, stage)
 		return j
 	}
-	// Every path is at most 3 hops, so one backing array (sliced with full
-	// capacity bounds, so the sub-slices can never grow into each other)
-	// serves the whole flow set: building a million-flow path set costs a
-	// handful of allocations, not several per flow.
-	hops := make([]int32, 0, 3*len(srcs))
+	// Port indices resolved positionally — uplink per (source rack, spine),
+	// spine downlink per (spine, destination rack) — and downlinks per
+	// destination host on demand: all are consulted only when a new class
+	// appears, so the per-flow loop is one hash and one table probe.
+	hosts := c.Hosts()
+	downIdx := make(map[NodeID]int32)
+	upIdx := newPortIndex(c.Racks * c.Spines)
+	sdIdx := newPortIndex(c.Spines * c.Racks)
+	sameRack := uint64(c.Racks * c.Spines)
+	classOf := make(map[uint64]int32)
 
 	for i := range srcs {
 		src, dst := srcs[i], dsts[i]
@@ -225,36 +239,44 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 			return nil, fmt.Errorf("netsim: fluid flow %d sends host %d to itself", i, src)
 		}
 		srcRack, dstRack := c.RackOf(src), c.RackOf(dst)
-		dstSlot := int(dst) - dstRack*c.HostsPerRack
-		down := downIdx[dst]
-		if down < 0 {
-			down = addQueue(fmt.Sprintf("leaf-%d-port-%d", dstRack, dstSlot), c.HostLinkBps, 2)
-			downIdx[dst] = down
+		slot, s := sameRack, 0
+		if srcRack != dstRack {
+			s = ECMPIndex(c.ECMPSeed, FlowID(i+1), src, dst, c.Spines)
+			slot = uint64(srcRack*c.Spines + s)
 		}
-		if p.Bottleneck < 0 {
-			p.Bottleneck = int(down)
+		k := uint64(dst)*(sameRack+1) + slot
+		id, ok := classOf[k]
+		if !ok {
+			id = int32(len(p.Paths))
+			classOf[k] = id
+			down, ok := downIdx[dst]
+			if !ok {
+				dstSlot := int(dst) - dstRack*c.HostsPerRack
+				down = addQueue(fmt.Sprintf("leaf-%d-port-%d", dstRack, dstSlot), c.HostLinkBps, 2)
+				downIdx[dst] = down
+			}
+			if srcRack == dstRack {
+				p.Paths = append(p.Paths, []int32{down})
+				p.BaseRTT = append(p.BaseRTT, c.BaseRTT(false))
+			} else {
+				up := upIdx[srcRack*c.Spines+s]
+				if up < 0 {
+					up = addQueue(fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s), c.SpineLinkBps, 0)
+					upIdx[srcRack*c.Spines+s] = up
+				}
+				sd := sdIdx[s*c.Racks+dstRack]
+				if sd < 0 {
+					sd = addQueue(fmt.Sprintf("spine-%d-port-%d", s, dstRack), c.SpineLinkBps, 1)
+					sdIdx[s*c.Racks+dstRack] = sd
+				}
+				p.Paths = append(p.Paths, []int32{up, sd, down})
+				p.BaseRTT = append(p.BaseRTT, c.BaseRTT(true))
+			}
+			if p.Bottleneck < 0 {
+				p.Bottleneck = int(down)
+			}
 		}
-		start := len(hops)
-		if srcRack == dstRack {
-			hops = append(hops, down)
-			p.Paths[i] = hops[start:len(hops):len(hops)]
-			p.BaseRTT[i] = c.BaseRTT(false)
-			continue
-		}
-		s := ECMPIndex(c.ECMPSeed, FlowID(i+1), src, dst, c.Spines)
-		up := upIdx[srcRack*c.Spines+s]
-		if up < 0 {
-			up = addQueue(fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s), c.SpineLinkBps, 0)
-			upIdx[srcRack*c.Spines+s] = up
-		}
-		sd := sdIdx[s*c.Racks+dstRack]
-		if sd < 0 {
-			sd = addQueue(fmt.Sprintf("spine-%d-port-%d", s, dstRack), c.SpineLinkBps, 1)
-			sdIdx[s*c.Racks+dstRack] = sd
-		}
-		hops = append(hops, up, sd, down)
-		p.Paths[i] = hops[start:len(hops):len(hops)]
-		p.BaseRTT[i] = c.BaseRTT(true)
+		p.Class[i] = id
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -49,45 +49,6 @@ type ClosIncastConfig struct {
 	Admitter Admitter
 }
 
-// ClosWorkerHosts returns the host IDs the workers occupy for a placement
-// over the given fabric, in flow order, or an error when the fabric is too
-// small. The aggregator is always host 0 (rack 0, slot 0).
-//
-// Cross-rack workers round-robin over racks 1..Racks-1 (worker i sits in
-// rack 1+i%(Racks-1), slot i/(Racks-1)); same-rack workers fill rack 0's
-// remaining slots.
-func ClosWorkerHosts(cfg netsim.ClosConfig, workers int, placement string) ([]netsim.NodeID, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
-	}
-	ids := make([]netsim.NodeID, workers)
-	switch placement {
-	case PlacementCrossRack, "":
-		remote := cfg.Racks - 1
-		if cap := remote * cfg.HostsPerRack; workers > cap {
-			return nil, fmt.Errorf(
-				"workload: %d cross-rack workers exceed the %d hosts in racks 1..%d (%d racks x %d hosts/rack)",
-				workers, cap, cfg.Racks-1, remote, cfg.HostsPerRack)
-		}
-		for i := 0; i < workers; i++ {
-			ids[i] = cfg.HostID(1+i%remote, i/remote)
-		}
-	case PlacementSameRack:
-		if cap := cfg.HostsPerRack - 1; workers > cap {
-			return nil, fmt.Errorf(
-				"workload: %d same-rack workers exceed the %d free slots under the aggregator's leaf (%d hosts/rack)",
-				workers, cap, cfg.HostsPerRack)
-		}
-		for i := 0; i < workers; i++ {
-			ids[i] = cfg.HostID(0, i+1)
-		}
-	default:
-		return nil, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
-			placement, PlacementCrossRack, PlacementSameRack)
-	}
-	return ids, nil
-}
-
 // ClosFlowEndpoints returns the (src, dst) host pair of every flow in a
 // Clos incast workload, in global flow order (aggregator-major: flow
 // k*workers+i is worker i of aggregator k, carrying FlowID k*workers+i+1).
@@ -96,57 +57,109 @@ func ClosWorkerHosts(cfg netsim.ClosConfig, workers int, placement string) ([]ne
 // its queue paths from it, so ECMP hashes over identical (flow, src, dst)
 // tuples.
 //
-// aggregators <= 1 reproduces ClosWorkerHosts exactly (aggregator at host
-// 0). For A > 1, aggregator k sits at rack k slot 0; its same-rack workers
-// fill rack k's remaining slots, while its cross-rack workers round-robin
-// over the other racks starting at rack k+1, taking each rack's next free
-// slot (slot 0 stays reserved for that rack's aggregator, if any).
+// With aggregators <= 1 the aggregator is host 0 (rack 0, slot 0):
+// cross-rack worker i sits in rack 1+i%(Racks-1), slot i/(Racks-1), and
+// same-rack workers fill rack 0's remaining slots. For A > 1, aggregator k
+// sits at rack k slot 0; its same-rack workers fill rack k's remaining
+// slots, while its cross-rack workers round-robin over the other racks
+// starting at rack k+1, taking each rack's next free slot (slot 0 stays
+// reserved for that rack's aggregator, if any).
 func ClosFlowEndpoints(cfg netsim.ClosConfig, workers, aggregators int, placement string) (srcs, dsts []netsim.NodeID, err error) {
+	// Every placed worker has a host of its own, so the fabric's host count
+	// bounds the lists even for a shape the walk goes on to reject.
+	n := min(max(workers, 0)*max(aggregators, 1), max(cfg.Hosts(), 0))
+	srcs = make([]netsim.NodeID, 0, n)
+	dsts = make([]netsim.NodeID, 0, n)
+	if err := walkClosFlows(cfg, workers, aggregators, placement, func(src, dst netsim.NodeID) {
+		srcs = append(srcs, src)
+		dsts = append(dsts, dst)
+	}); err != nil {
+		return nil, nil, err
+	}
+	return srcs, dsts, nil
+}
+
+// CheckClosFlows reports the error ClosFlowEndpoints would return for the
+// same workload shape, without building the endpoint lists.
+func CheckClosFlows(cfg netsim.ClosConfig, workers, aggregators int, placement string) error {
+	return walkClosFlows(cfg, workers, aggregators, placement, nil)
+}
+
+// walkClosFlows places every flow of a Clos incast workload and hands its
+// (src, dst) pair to emit, in global flow order; a nil emit only checks
+// that the placement fits. It is the one home of the placement and
+// capacity rules ClosFlowEndpoints and CheckClosFlows share.
+func walkClosFlows(cfg netsim.ClosConfig, workers, aggregators int, placement string, emit func(src, dst netsim.NodeID)) error {
 	if aggregators <= 1 {
-		ids, err := ClosWorkerHosts(cfg, workers, placement)
-		if err != nil {
-			return nil, nil, err
+		if workers <= 0 {
+			return fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
 		}
-		return ids, make([]netsim.NodeID, workers), nil
+		var host func(i int) netsim.NodeID
+		switch placement {
+		case PlacementCrossRack, "":
+			remote := cfg.Racks - 1
+			if cap := remote * cfg.HostsPerRack; workers > cap {
+				return fmt.Errorf(
+					"workload: %d cross-rack workers exceed the %d hosts in racks 1..%d (%d racks x %d hosts/rack)",
+					workers, cap, cfg.Racks-1, remote, cfg.HostsPerRack)
+			}
+			host = func(i int) netsim.NodeID { return cfg.HostID(1+i%remote, i/remote) }
+		case PlacementSameRack:
+			if cap := cfg.HostsPerRack - 1; workers > cap {
+				return fmt.Errorf(
+					"workload: %d same-rack workers exceed the %d free slots under the aggregator's leaf (%d hosts/rack)",
+					workers, cap, cfg.HostsPerRack)
+			}
+			host = func(i int) netsim.NodeID { return cfg.HostID(0, i+1) }
+		default:
+			return fmt.Errorf("workload: unknown placement %q (want %q or %q)",
+				placement, PlacementCrossRack, PlacementSameRack)
+		}
+		if emit != nil {
+			for i := 0; i < workers; i++ {
+				emit(host(i), 0)
+			}
+		}
+		return nil
 	}
 	if aggregators > cfg.Racks {
-		return nil, nil, fmt.Errorf(
+		return fmt.Errorf(
 			"workload: %d aggregators exceed the %d racks (one aggregator per rack, at slot 0)",
 			aggregators, cfg.Racks)
 	}
 	if workers <= 0 {
-		return nil, nil, fmt.Errorf("workload: clos incast needs at least one worker per aggregator (got %d)", workers)
+		return fmt.Errorf("workload: clos incast needs at least one worker per aggregator (got %d)", workers)
+	}
+	var rackOf func(k, i int) int
+	switch placement {
+	case PlacementCrossRack, "":
+		rackOf = func(k, i int) int { return (k + 1 + i%(cfg.Racks-1)) % cfg.Racks }
+	case PlacementSameRack:
+		rackOf = func(k, _ int) int { return k }
+	default:
+		return fmt.Errorf("workload: unknown placement %q (want %q or %q)",
+			placement, PlacementCrossRack, PlacementSameRack)
 	}
 	next := make([]int, cfg.Racks) // next free slot per rack
 	for r := 0; r < aggregators; r++ {
 		next[r] = 1 // slot 0 hosts aggregator r
 	}
-	srcs = make([]netsim.NodeID, 0, aggregators*workers)
-	dsts = make([]netsim.NodeID, 0, aggregators*workers)
 	for k := 0; k < aggregators; k++ {
 		agg := cfg.HostID(k, 0)
 		for i := 0; i < workers; i++ {
-			var r int
-			switch placement {
-			case PlacementCrossRack, "":
-				r = (k + 1 + i%(cfg.Racks-1)) % cfg.Racks
-			case PlacementSameRack:
-				r = k
-			default:
-				return nil, nil, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
-					placement, PlacementCrossRack, PlacementSameRack)
-			}
+			r := rackOf(k, i)
 			if next[r] >= cfg.HostsPerRack {
-				return nil, nil, fmt.Errorf(
+				return fmt.Errorf(
 					"workload: rack %d full placing worker %d of aggregator %d (%d aggregators x %d workers, placement %q, %d hosts/rack)",
 					r, i, k, aggregators, workers, placement, cfg.HostsPerRack)
 			}
-			srcs = append(srcs, cfg.HostID(r, next[r]))
+			if emit != nil {
+				emit(cfg.HostID(r, next[r]), agg)
+			}
 			next[r]++
-			dsts = append(dsts, agg)
 		}
 	}
-	return srcs, dsts, nil
+	return nil
 }
 
 // ClosIncast wires an incast workload over a Clos fabric: the aggregator
